@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
-from repro.cache.set_assoc import CacheAccessResult, SetAssociativeCache
+from repro.cache.set_assoc import (
+    CacheAccessResult,
+    CacheSnapshot,
+    SetAssociativeCache,
+)
 from repro.config.cpu_config import CacheConfig
 
 
@@ -27,6 +31,14 @@ class LastLevelCache:
     def contains(self, address: int) -> bool:
         """True if the line holding ``address`` is resident (no LRU update)."""
         return self._cache.contains(address)
+
+    def snapshot(self) -> CacheSnapshot:
+        """Compact copy of the resident lines (see :meth:`restore`)."""
+        return self._cache.snapshot()
+
+    def restore(self, snapshot: CacheSnapshot, tag_delta: int) -> None:
+        """Load ``snapshot``, relocated by ``tag_delta`` tag steps."""
+        self._cache.restore(snapshot, tag_delta)
 
     @property
     def hits(self) -> int:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
@@ -15,6 +16,20 @@ class CacheAccessResult:
     #: Line-aligned address of a dirty victim that must be written back,
     #: or None if the access caused no writeback.
     writeback_address: Optional[int] = None
+
+
+@dataclass(frozen=True)
+class CacheSnapshot:
+    """Compact, immutable copy of a cache's resident lines.
+
+    ``lengths[i]`` lines of set ``i`` occupy the next slice of ``tags``
+    (least recently used first) and of ``dirty`` (one byte per line).
+    A 512 KB, 64 B-line cache snapshots into about 75 KB.
+    """
+
+    lengths: array
+    tags: array
+    dirty: bytes
 
 
 class SetAssociativeCache:
@@ -79,6 +94,41 @@ class SetAssociativeCache:
         """True if the line holding ``address`` is resident (no LRU update)."""
         index, tag = self._index_and_tag(address)
         return tag in self._sets[index]
+
+    # -- snapshots -------------------------------------------------------------
+    def snapshot(self) -> CacheSnapshot:
+        """Resident tags, LRU order and dirty bits (statistics excluded)."""
+        sets = self._sets
+        return CacheSnapshot(
+            lengths=array("H", map(len, sets)),
+            tags=array("q", [tag for cache_set in sets for tag in cache_set]),
+            dirty=bytes(
+                [dirty for cache_set in sets for dirty in cache_set.values()]
+            ),
+        )
+
+    def restore(self, snapshot: CacheSnapshot, tag_delta: int) -> None:
+        """Replace the resident lines with ``snapshot``'s, tags shifted.
+
+        Adding ``tag_delta`` to every tag relocates the contents by
+        ``tag_delta * num_sets * line_bytes`` bytes: set indices, LRU
+        order and dirty bits are unchanged.  Statistics are left alone.
+        """
+        tags, dirty = snapshot.tags, snapshot.dirty
+        sets = []
+        start = 0
+        for length in snapshot.lengths:
+            end = start + length
+            sets.append(
+                OrderedDict(
+                    zip(
+                        [tag + tag_delta for tag in tags[start:end]],
+                        map(bool, dirty[start:end]),
+                    )
+                )
+            )
+            start = end
+        self._sets = sets
 
     def occupancy(self) -> int:
         """Number of resident lines."""

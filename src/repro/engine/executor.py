@@ -185,10 +185,13 @@ class SerialExecutor(JobExecutor):
     """Runs every job in-process, one after another."""
 
     def _execute_pending(self, pending, total, progress, store):
+        # Warm LLC states are shared within this batch only, so every
+        # batch (and every cold pass) computes its own.
+        warm_states: dict = {}
         results = []
         for index, job in pending:
             job_start = perf_counter()
-            result = execute_job(job)
+            result = execute_job(job, warm_states)
             elapsed_s = perf_counter() - job_start
             _record_job_span(job, elapsed_s)
             results.append(result)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
 
 from repro.config.system import SystemConfig
 from repro.obs.log import get_logger
@@ -82,8 +82,13 @@ class SimulationJob:
             max(1, self.config.cpu.num_cores)
         )
 
-    def run(self) -> "SimulationResult":
+    def run(self, warm_states: Optional[dict] = None) -> "SimulationResult":
         """Execute the simulation this job describes.
+
+        ``warm_states`` is the caller's functional-warmup snapshot dict
+        (see :class:`~repro.sim.simulator.Simulator`); executors pass one
+        per batch or worker process so identical LLC warm states are
+        computed once.
 
         When the configuration arms the tracer and names a trace
         directory, the trace is persisted next to the result — this also
@@ -102,7 +107,9 @@ class SimulationJob:
             self.cycles,
             self.seed,
         )
-        simulator = Simulator(self.config, self.workload, seed=self.seed)
+        simulator = Simulator(
+            self.config, self.workload, seed=self.seed, warm_states=warm_states
+        )
         result = simulator.run(self.cycles, warmup=self.warmup)
         obs = self.config.obs
         if obs.trace and obs.trace_dir:
@@ -154,6 +161,8 @@ class SimulationJob:
         )
 
 
-def execute_job(job: SimulationJob) -> "SimulationResult":
+def execute_job(
+    job: SimulationJob, warm_states: Optional[dict] = None
+) -> "SimulationResult":
     """Module-level entry point for process-pool workers (picklable)."""
-    return job.run()
+    return job.run(warm_states)

@@ -232,12 +232,15 @@ def _worker_main(worker_id: int, tasks, results, close_fds=()) -> None:
     ``close_fds`` lists parent-side fds the fork start method leaks into
     this child — notably the write end of its own task pipe, which would
     stop ``tasks.recv()`` from ever reporting EOF once the parent dies.
+    Functional-warmup LLC snapshots are shared by every job this process
+    runs, so each distinct warm state is computed once per worker.
     """
     for fd in close_fds:
         try:
             os.close(fd)
         except OSError:
             pass
+    warm_states: dict = {}
     while True:
         try:
             shard = tasks.recv()
@@ -249,7 +252,7 @@ def _worker_main(worker_id: int, tasks, results, close_fds=()) -> None:
             results.send((MSG_STARTED, worker_id, shard.shard_id, slot))
             start = perf_counter()
             try:
-                result = execute_job(job)
+                result = execute_job(job, warm_states)
             except Exception as error:  # noqa: BLE001 - reported to the parent
                 results.send(
                     (

@@ -22,8 +22,19 @@ from repro.sim.results import CoreResult, SimulationResult
 from repro.workloads.mixes import Workload
 
 
+#: Added to the workload and run seeds to seed the functional-warmup trace,
+#: so the warmup streams different accesses than the timed run replays.
+WARMUP_TRACE_SEED_OFFSET = 7919
+
+
 class Simulator:
-    """One simulation instance for a (configuration, workload) pair."""
+    """One simulation instance for a (configuration, workload) pair.
+
+    ``warm_states`` maps a functional-warmup key to the LLC snapshot it
+    produced (see :meth:`_functional_warmup`).  Passing one dict to many
+    simulators lets each distinct warm state be computed once; without
+    it, a fresh dict still shares states between this simulator's cores.
+    """
 
     def __init__(
         self,
@@ -31,6 +42,7 @@ class Simulator:
         workload: Workload,
         seed: int = 0,
         functional_warmup_accesses: Optional[int] = None,
+        warm_states: Optional[dict] = None,
     ):
         self.config = config
         self.workload = workload
@@ -39,23 +51,29 @@ class Simulator:
         self.power_model = DRAMPowerModel(config.dram)
         capacity = self.memory.mapper.capacity_bytes
         region = capacity // max(1, workload.num_cores)
-        self.cores: list[Core] = []
-        for core_id, benchmark in enumerate(workload.benchmarks):
-            trace = benchmark.trace(seed=workload.seed + seed + core_id)
-            llc = LastLevelCache(config.cache)
-            self._functional_warmup(
-                llc, benchmark, core_id * region, functional_warmup_accesses
-            )
-            self.cores.append(
-                Core(
-                    core_id=core_id,
-                    config=config.cpu,
-                    trace=trace,
-                    llc=llc,
-                    memory=self.memory,
-                    address_offset=core_id * region,
+        if warm_states is None:
+            warm_states = {}
+        with obs_profile.span("sim.llc_warmup"):
+            llcs = [
+                self._functional_warmup(
+                    benchmark,
+                    core_id * region,
+                    functional_warmup_accesses,
+                    warm_states,
                 )
+                for core_id, benchmark in enumerate(workload.benchmarks)
+            ]
+        self.cores: list[Core] = [
+            Core(
+                core_id=core_id,
+                config=config.cpu,
+                trace=benchmark.trace(seed=workload.seed + seed + core_id),
+                llc=llc,
+                memory=self.memory,
+                address_offset=core_id * region,
             )
+            for core_id, (benchmark, llc) in enumerate(zip(workload.benchmarks, llcs))
+        ]
         self._current_cycle = 0
         #: Event-kernel core-sleep records, one per core:
         #: ``None`` (awake) or ``(kind, channel, counter, first_unaccounted)``
@@ -76,12 +94,12 @@ class Simulator:
 
     def _functional_warmup(
         self,
-        llc: LastLevelCache,
         benchmark,
         address_offset: int,
         accesses: Optional[int],
-    ) -> None:
-        """Pre-populate a core's LLC so the timed run sees steady-state traffic.
+        warm_states: dict,
+    ) -> LastLevelCache:
+        """Build a core's LLC, pre-populated so the timed run sees steady state.
 
         Short timed windows would otherwise start with a cold (and therefore
         eviction-free) cache, which both under-reports non-intensive hit
@@ -90,21 +108,35 @@ class Simulator:
         accesses through the cache model only — no DRAM cycles are
         simulated — and uses a distinct trace instance so the timed run
         still consumes the benchmark's trace from its beginning.
+
+        The offset only relocates addresses.  With ``span = num_sets *
+        line_bytes`` and ``address_offset = shift * span + base``, warming
+        at the offset equals warming at ``base`` with every tag raised by
+        ``shift``: set indices, LRU order and dirty bits are the same.  So
+        the warm state is keyed without ``shift``, computed at most once
+        per ``warm_states`` dict, and restored with the tag shift.
         """
-        cache_lines = self.config.cache.size_bytes // self.config.cache.line_bytes
+        cache = self.config.cache
+        llc = LastLevelCache(cache)
         if accesses is None:
-            footprint_lines = max(
-                1,
-                benchmark.footprint_bytes // self.config.cache.line_bytes,
-            )
+            cache_lines = cache.size_bytes // cache.line_bytes
+            footprint_lines = max(1, benchmark.footprint_bytes // cache.line_bytes)
             accesses = min(3 * cache_lines, 4 * footprint_lines)
         if accesses <= 0:
-            return
-        warm_trace = benchmark.trace(seed=self.workload.seed + self.seed + 7919)
-        for _ in range(accesses):
-            entry = next(warm_trace)
-            llc.access(llc.line_address(address_offset + entry.address), entry.is_write)
+            return llc
+        trace_seed = self.workload.seed + self.seed + WARMUP_TRACE_SEED_OFFSET
+        shift, base = divmod(address_offset, cache.num_sets * cache.line_bytes)
+        key = (benchmark, trace_seed, accesses, cache, base)
+        state = warm_states.get(key)
+        if state is None:
+            warm_trace = benchmark.trace(seed=trace_seed)
+            for _ in range(accesses):
+                entry = next(warm_trace)
+                llc.access(llc.line_address(base + entry.address), entry.is_write)
+            state = warm_states[key] = llc.snapshot()
+        llc.restore(state, shift)
         llc.reset_stats()
+        return llc
 
     # -- execution -------------------------------------------------------------
     def step(self) -> None:

@@ -122,3 +122,26 @@ def test_profile_cli_prints_hotspot_table(monkeypatch):
     assert len(table.strip().splitlines()) == 2 + 3
     # The CLI tears the global profiler down when it is done.
     assert obs_profile.active() is None
+
+
+def test_profile_cli_attributes_llc_warmup(monkeypatch):
+    import repro.cli as cli
+    from repro.config.presets import paper_system
+    from repro.workloads.mixes import make_workload_category
+
+    def eight_core(runner, scale):
+        return runner.simulate(paper_system(), make_workload_category(50, 0))
+
+    experiment = cli.Experiment("eight_core", eight_core, eight_core)
+    monkeypatch.setitem(cli.EXPERIMENTS, "eight_core", experiment)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    code = main(
+        ["profile", "eight_core", "--cycles", "200", "--warmup", "50"],
+        stdout=stdout,
+        stderr=stderr,
+    )
+    assert code == 0
+    rows = {line.split()[0]: line.split() for line in stdout.getvalue().splitlines()}
+    # One functional-warmup span per simulator, beside the DRAM warmup window.
+    assert rows["sim.llc_warmup"][1] == "1"
+    assert "sim.warmup" in rows
