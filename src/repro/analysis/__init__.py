@@ -1,37 +1,6 @@
-"""Formatting of experiment results into paper-style tables and series."""
+"""Renderer-independent tables and charts for the paper's results.
 
-from repro.analysis.figures import (
-    format_figure12,
-    format_figure13,
-    format_figure14,
-    format_figure15,
-    format_figure16,
-    format_figure5,
-    format_figure6,
-    format_figure7,
-)
-from repro.analysis.tables import (
-    format_table,
-    format_table2,
-    format_table3,
-    format_table4,
-    format_table5,
-    format_table6,
-)
-
-__all__ = [
-    "format_table",
-    "format_table2",
-    "format_table3",
-    "format_table4",
-    "format_table5",
-    "format_table6",
-    "format_figure5",
-    "format_figure6",
-    "format_figure7",
-    "format_figure12",
-    "format_figure13",
-    "format_figure14",
-    "format_figure15",
-    "format_figure16",
-]
+:mod:`repro.analysis.model` holds the :class:`Table`/:class:`Chart` model;
+:mod:`repro.analysis.figures` and :mod:`repro.analysis.tables` reduce each
+experiment's payload to table blocks.
+"""

@@ -3,19 +3,17 @@
 Each ``tabulate_figureN`` function accepts the corresponding experiment
 function's return value (see :mod:`repro.sim.experiments`) and reduces the
 same series the paper plots to one or more
-:class:`~repro.analysis.model.Table` blocks.  The historical
-``format_figureN`` helpers render those blocks as fixed-width text for
-terminal output or ``results/*.txt`` artifacts; the report subsystem
-renders the same model as markdown, LaTeX and plots.
+:class:`~repro.analysis.model.Table` blocks, which :mod:`repro.artifacts`
+renders as fixed-width text and the report subsystem as markdown, LaTeX
+and plots.
 """
 
 from __future__ import annotations
 
 from repro.analysis.model import Table
-from repro.analysis.tables import format_table  # noqa: F401  (re-export)
 
 
-def tabulate_figure5(points) -> Table:
+def tabulate_figure5(points) -> list[Table]:
     """Figure 5: refresh latency (tRFCab) trend vs density."""
     rows = []
     for point in points:
@@ -28,19 +26,14 @@ def tabulate_figure5(points) -> Table:
                 f"{point.projection2_ns:.0f}",
             ]
         )
-    return Table.build(
+    return [Table.build(
         ["Density (Gb)", "Present (ns)", "Projection 1 (ns)", "Projection 2 (ns)"],
         rows,
         title="Figure 5: refresh latency (tRFCab) trend",
-    )
+    )]
 
 
-def format_figure5(points) -> str:
-    """Figure 5: refresh latency (tRFCab) trend vs density."""
-    return tabulate_figure5(points).to_text()
-
-
-def tabulate_figure6(result: dict) -> Table:
+def tabulate_figure6(result: dict) -> list[Table]:
     """Figure 6: % performance loss of REFab vs the ideal, by category."""
     densities = sorted(next(iter(result.values())).keys())
     rows = []
@@ -49,19 +42,14 @@ def tabulate_figure6(result: dict) -> Table:
             [f"{category}%"] + [f"{result[category][d]:.1f}" for d in densities]
         )
     rows.append(["Mean"] + [f"{result[-1][d]:.1f}" for d in densities])
-    return Table.build(
+    return [Table.build(
         ["Intensive share"] + [f"{d}Gb loss (%)" for d in densities],
         rows,
         title="Figure 6: performance loss due to REFab",
-    )
+    )]
 
 
-def format_figure6(result: dict) -> str:
-    """Figure 6: % performance loss of REFab vs the ideal, by category."""
-    return tabulate_figure6(result).to_text()
-
-
-def tabulate_figure7(result: dict) -> Table:
+def tabulate_figure7(result: dict) -> list[Table]:
     """Figure 7: % performance loss of REFab and REFpb vs the ideal."""
     rows = []
     for density in sorted(result):
@@ -72,16 +60,11 @@ def tabulate_figure7(result: dict) -> Table:
                 f"{result[density]['refpb']:.1f}",
             ]
         )
-    return Table.build(
+    return [Table.build(
         ["Density", "REFab loss (%)", "REFpb loss (%)"],
         rows,
         title="Figure 7: performance loss due to REFab and REFpb",
-    )
-
-
-def format_figure7(result: dict) -> str:
-    """Figure 7: % performance loss of REFab and REFpb vs the ideal."""
-    return tabulate_figure7(result).to_text()
+    )]
 
 
 def tabulate_figure12(sweep: dict) -> list[Table]:
@@ -105,12 +88,7 @@ def tabulate_figure12(sweep: dict) -> list[Table]:
     return blocks
 
 
-def format_figure12(sweep: dict) -> str:
-    """Figure 12: per-workload WS normalized to REFab."""
-    return "\n\n".join(block.to_text() for block in tabulate_figure12(sweep))
-
-
-def tabulate_figure13(result: dict) -> Table:
+def tabulate_figure13(result: dict) -> list[Table]:
     """Figure 13: average WS improvement over REFab for all mechanisms."""
     mechanisms = list(next(iter(result.values())).keys())
     rows = []
@@ -118,19 +96,14 @@ def tabulate_figure13(result: dict) -> Table:
         rows.append(
             [f"{density}Gb"] + [f"{result[density][m]:+.1f}" for m in mechanisms]
         )
-    return Table.build(
+    return [Table.build(
         ["Density"] + mechanisms,
         rows,
         title="Figure 13: average WS improvement over REFab (%)",
-    )
+    )]
 
 
-def format_figure13(result: dict) -> str:
-    """Figure 13: average WS improvement over REFab for all mechanisms."""
-    return tabulate_figure13(result).to_text()
-
-
-def tabulate_figure14(result: dict) -> Table:
+def tabulate_figure14(result: dict) -> list[Table]:
     """Figure 14: energy per access for all mechanisms."""
     mechanisms = list(next(iter(result.values())).keys())
     rows = []
@@ -138,19 +111,14 @@ def tabulate_figure14(result: dict) -> Table:
         rows.append(
             [f"{density}Gb"] + [f"{result[density][m]:.1f}" for m in mechanisms]
         )
-    return Table.build(
+    return [Table.build(
         ["Density"] + mechanisms,
         rows,
         title="Figure 14: energy per access (nJ)",
-    )
+    )]
 
 
-def format_figure14(result: dict) -> str:
-    """Figure 14: energy per access for all mechanisms."""
-    return tabulate_figure14(result).to_text()
-
-
-def tabulate_figure15(result: dict) -> Table:
+def tabulate_figure15(result: dict) -> list[Table]:
     """Figure 15: DSARP gains over REFab / REFpb by memory intensity."""
     categories = sorted(result)
     densities = sorted(next(iter(result.values())).keys())
@@ -166,19 +134,14 @@ def tabulate_figure15(result: dict) -> Table:
                     f"{entry['vs_refpb']:+.1f}",
                 ]
             )
-    return Table.build(
+    return [Table.build(
         ["Intensive share", "Density", "vs REFab (%)", "vs REFpb (%)"],
         rows,
         title="Figure 15: DSARP improvement by memory intensity",
-    )
+    )]
 
 
-def format_figure15(result: dict) -> str:
-    """Figure 15: DSARP gains over REFab / REFpb by memory intensity."""
-    return tabulate_figure15(result).to_text()
-
-
-def tabulate_figure16(result: dict) -> Table:
+def tabulate_figure16(result: dict) -> list[Table]:
     """Figure 16: WS normalized to REFab for FGR / AR / DSARP."""
     mechanisms = list(next(iter(result.values())).keys())
     rows = []
@@ -186,13 +149,8 @@ def tabulate_figure16(result: dict) -> Table:
         rows.append(
             [f"{density}Gb"] + [f"{result[density][m]:.3f}" for m in mechanisms]
         )
-    return Table.build(
+    return [Table.build(
         ["Density"] + mechanisms,
         rows,
         title="Figure 16: WS normalized to REFab (FGR / AR / DSARP)",
-    )
-
-
-def format_figure16(result: dict) -> str:
-    """Figure 16: WS normalized to REFab for FGR / AR / DSARP."""
-    return tabulate_figure16(result).to_text()
+    )]

@@ -6,8 +6,7 @@ figure series: a title, a header row and string cell rows.  The
 :mod:`repro.analysis.figures` reduce experiment payloads to this model
 once, and every output format renders from it:
 
-* ``to_text()``     — the fixed-width terminal/``results/*.txt`` form
-  (byte-identical to the original ``format_*`` output),
+* ``to_text()``     — the fixed-width terminal/``results/*.txt`` form,
 * ``to_markdown()`` — a GitHub-flavored pipe table for report documents,
 * ``to_latex()``    — a LaTeX ``tabular`` block ready to paste into a
   paper draft.
@@ -75,7 +74,7 @@ class Table:
         return widths
 
     def to_text(self) -> str:
-        """Fixed-width text rendering (the historical ``format_table``)."""
+        """Fixed-width text rendering."""
         widths = self._widths()
         columns = len(self.headers)
         lines = []

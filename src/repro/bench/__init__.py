@@ -4,8 +4,8 @@ Turns the repo's benchmarks into first-class, machine-readable,
 regression-gated artifacts:
 
 * :mod:`repro.bench.spec`    — :class:`BenchSpec` and the registry;
-* :mod:`repro.bench.suite`   — the standard suite (one spec per
-  ``benchmarks/bench_*.py`` script, which are now thin shims over it);
+* :mod:`repro.bench.suite`   — the standard suite (one spec per paper
+  artifact of :mod:`repro.artifacts`, plus the engine and kernel benches);
 * :mod:`repro.bench.run`     — the execution harness and the
   schema-versioned :class:`BenchDocument` JSON result format;
 * :mod:`repro.bench.compare` — the baseline regression gate with

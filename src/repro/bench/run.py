@@ -3,8 +3,7 @@
 :func:`run_specs` executes a list of registered :class:`BenchSpec` entries
 through one shared :class:`~repro.sim.runner.ExperimentRunner` (so common
 simulations — the REFab baselines, the alone runs — are performed once per
-run, exactly like the old pytest-benchmark session), timing each spec and
-attributing the engine's job counters to it via
+run), timing each spec and attributing the engine's job counters to it via
 :meth:`~repro.engine.executor.ExecutorStats.delta` snapshots.
 
 The output is a schema-versioned :class:`BenchDocument` — one JSON file

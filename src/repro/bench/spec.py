@@ -17,9 +17,8 @@ the extractors that reduce that payload to machine-readable numbers:
   ``repro bench run`` exit non-zero.
 
 Specs are registered in a process-wide registry; the standard suite in
-:mod:`repro.bench.suite` registers one spec per ``benchmarks/bench_*.py``
-script, and those scripts are thin shims over the registry so
-pytest-benchmark invocation keeps working.
+:mod:`repro.bench.suite` registers one spec per paper artifact plus the
+engine and kernel benchmarks, and ``repro bench run`` executes them.
 """
 
 from __future__ import annotations

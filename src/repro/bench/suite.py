@@ -1,13 +1,11 @@
-"""The standard benchmark suite: one registered spec per paper artifact.
+"""The standard benchmark suite.
 
-Every entry here is the declarative port of one ``benchmarks/bench_*.py``
-script: the target reproduces the same table or figure through the shared
-:class:`~repro.bench.run.BenchContext` runner, ``checks`` carries the
-script's trend assertions, ``format`` renders the same ``results/*.txt``
-artifact, and ``metrics``/``timings`` expose the machine-readable numbers
-the old scripts only printed.  The scripts themselves are now thin shims
-over this registry (see ``benchmarks/conftest.py``), so the pytest
-invocation and the ``repro bench`` CLI measure identical code paths.
+Every paper artifact (:mod:`repro.artifacts`) registers one spec under its
+``bench`` name: the target reproduces the table or figure through the
+shared :class:`~repro.bench.run.BenchContext` runner, ``checks`` carries
+the artifact's trend assertions and ``format`` renders its
+``results/*.txt`` text.  The engine, kernel, dispatch and cache benchmarks
+below are registered by hand.
 
 Metric keys are flat strings (``dsarp_gmean_refab_32gb``) so result
 documents diff cleanly; only deterministic simulation outputs go into
@@ -24,14 +22,13 @@ import tempfile
 from pathlib import Path
 from time import perf_counter
 
-from repro.analysis import figures, tables
+from repro.artifacts import ARTIFACTS, Artifact
 from repro.bench.run import BenchContext
 from repro.bench.spec import BenchSpec, register
 from repro.config.presets import paper_system
 from repro.engine.executor import ParallelExecutor, SerialExecutor
 from repro.engine.jobs import SimulationJob
 from repro.engine.store import JsonlStore
-from repro.metrics.speedup import geometric_mean
 from repro.sim import experiments
 from repro.sim.runner import DEFAULT_CYCLES, DEFAULT_WARMUP, ExperimentRunner
 from repro.sim.simulator import Simulator
@@ -54,638 +51,30 @@ def _full_window(context: BenchContext) -> bool:
     return context.cycles >= DEFAULT_CYCLES
 
 
-# ---------------------------------------------------------------------------
-# Figure 5: refresh-latency scaling trend (no simulation)
-# ---------------------------------------------------------------------------
-def _figure5(context: BenchContext):
-    """Figure 5: projected tRFCab versus DRAM density (no simulation)."""
-    return experiments.figure5_refresh_latency_trend()
+def _register_artifact(artifact: Artifact) -> None:
+    """One spec per paper artifact: its payload, metrics, checks and text."""
 
+    def target(context: BenchContext):
+        return artifact.payload(context.runner, context.scale)
 
-def _figure5_metrics(points) -> dict:
-    by_density = {p.density_gb: p for p in points}
-    return {
-        f"projection2_ns_{density}gb": by_density[density].projection2_ns
-        for density in (16, 32, 64)
-    } | {"projection1_ns_64gb": by_density[64].projection1_ns}
+    def checks(payload, context: BenchContext) -> None:
+        if _full_window(context) or not artifact.simulates:
+            artifact.checks(payload)
 
-
-def _figure5_checks(points, context: BenchContext) -> None:
-    by_density = {p.density_gb: p for p in points}
-    # The paper's Projection 2 values: 530 ns (16 Gb), 890 ns (32 Gb), 1.6 us (64 Gb).
-    assert round(by_density[16].projection2_ns) == 530
-    assert round(by_density[32].projection2_ns) == 890
-    assert round(by_density[64].projection2_ns) == 1610
-    # Projection 1 is the more pessimistic extrapolation.
-    assert by_density[64].projection1_ns > by_density[64].projection2_ns
-
-
-register(
-    BenchSpec(
-        name="figure05_trfc_trend",
-        target=_figure5,
-        metrics=_figure5_metrics,
-        checks=_figure5_checks,
-        format=figures.format_figure5,
-    )
-)
-
-
-# ---------------------------------------------------------------------------
-# Figure 6: performance degradation due to all-bank refresh
-# ---------------------------------------------------------------------------
-def _figure6(context: BenchContext):
-    """Figure 6: % WS loss of REFab vs the no-refresh ideal."""
-    return experiments.figure6_refab_performance_loss(
-        runner=context.runner, scale=context.scale
-    )
-
-
-def _figure6_metrics(result) -> dict:
-    # Category -1 is the all-category average the paper quotes.
-    return {
-        f"avg_loss_pct_{density}gb": loss for density, loss in result[-1].items()
-    } | {
-        f"intensive_loss_pct_{density}gb": loss
-        for density, loss in result[100].items()
-    }
-
-
-def _figure6_checks(result, context: BenchContext) -> None:
-    if not _full_window(context):
-        return
-    average = result[-1]
-    # Refresh hurts, and hurts more at higher density (the paper's trend).
-    assert average[32] > average[8] > 0
-    # The most memory-intensive category suffers more than the least at 32 Gb.
-    assert result[100][32] > result[0][32]
-
-
-register(
-    BenchSpec(
-        name="figure06_refab_loss",
-        target=_figure6,
-        metrics=_figure6_metrics,
-        checks=_figure6_checks,
-        format=figures.format_figure6,
-    )
-)
-
-
-# ---------------------------------------------------------------------------
-# Figure 7: REFab versus REFpb loss
-# ---------------------------------------------------------------------------
-def _figure7(context: BenchContext):
-    """Figure 7: % WS loss of REFab and REFpb versus the no-refresh ideal."""
-    return experiments.figure7_refab_vs_refpb_loss(
-        runner=context.runner, scale=context.scale
-    )
-
-
-def _figure7_metrics(result) -> dict:
-    return {
-        f"{mechanism}_loss_pct_{density}gb": loss
-        for density, losses in result.items()
-        for mechanism, loss in losses.items()
-    }
-
-
-def _figure7_checks(result, context: BenchContext) -> None:
-    if not _full_window(context):
-        return
-    for density, losses in result.items():
-        # Per-bank refresh always loses less than all-bank refresh.
-        assert losses["refpb"] < losses["refab"]
-    # Both penalties grow with density.
-    assert result[32]["refab"] > result[8]["refab"]
-    assert result[32]["refpb"] >= result[8]["refpb"]
-
-
-register(
-    BenchSpec(
-        name="figure07_refab_vs_refpb",
-        target=_figure7,
-        metrics=_figure7_metrics,
-        checks=_figure7_checks,
-        format=figures.format_figure7,
-    )
-)
-
-
-# ---------------------------------------------------------------------------
-# Figure 12: per-workload sweep
-# ---------------------------------------------------------------------------
-def _figure12(context: BenchContext):
-    """Figure 12: per-workload WS normalized to REFab, per density."""
-    return experiments.figure12_workload_sweep(
-        runner=context.runner, scale=context.scale
-    )
-
-
-def _figure12_metrics(sweep) -> dict:
-    metrics = {}
-    for density, per_workload in sweep.items():
-        for mechanism in ("refpb", "dsarp"):
-            values = [norms[mechanism] for norms in per_workload.values()]
-            metrics[f"{mechanism}_gmean_norm_{density}gb"] = geometric_mean(values)
-    return metrics
-
-
-def _figure12_checks(sweep, context: BenchContext) -> None:
-    if not _full_window(context):
-        return
-    for density, per_workload in sweep.items():
-        dsarp = geometric_mean([norms["dsarp"] for norms in per_workload.values()])
-        refpb = geometric_mean([norms["refpb"] for norms in per_workload.values()])
-        # DSARP improves over REFab on average, and beats REFpb on average.
-        assert dsarp > 1.0
-        assert dsarp >= refpb
-    # The benefit of DSARP over REFab grows with density (the headline trend).
-    dsarp_by_density = {
-        density: geometric_mean([n["dsarp"] for n in per_workload.values()])
-        for density, per_workload in sweep.items()
-    }
-    assert dsarp_by_density[32] > dsarp_by_density[8]
-
-
-register(
-    BenchSpec(
-        name="figure12_workload_sweep",
-        target=_figure12,
-        metrics=_figure12_metrics,
-        checks=_figure12_checks,
-        format=figures.format_figure12,
-    )
-)
-
-
-# ---------------------------------------------------------------------------
-# Figure 13: all mechanisms
-# ---------------------------------------------------------------------------
-def _figure13(context: BenchContext):
-    """Figure 13: average % WS improvement over REFab for every mechanism."""
-    return experiments.figure13_all_mechanisms(
-        runner=context.runner, scale=context.scale
-    )
-
-
-def _figure13_metrics(result) -> dict:
-    return {
-        f"{mechanism}_improvement_pct_{density}gb": value
-        for density, improvements in result.items()
-        for mechanism, value in improvements.items()
-    }
-
-
-def _figure13_checks(result, context: BenchContext) -> None:
-    if not _full_window(context):
-        return
-    for density, improvements in result.items():
-        # The ideal no-refresh system bounds everything (within noise).
-        for mechanism, value in improvements.items():
-            assert value <= improvements["none"] + 2.0, (density, mechanism)
-        # DSARP improves over REFab and over plain per-bank refresh.
-        assert improvements["dsarp"] > 0
-        assert improvements["dsarp"] >= improvements["refpb"] - 0.5
-        # Elastic refresh gives little benefit over REFab (paper: ~1.8 %).
-        assert improvements["elastic"] < improvements["dsarp"]
-    # Benefits grow with density.
-    assert result[32]["dsarp"] > result[8]["dsarp"]
-    assert result[32]["none"] > result[8]["none"]
-
-
-register(
-    BenchSpec(
-        name="figure13_all_mechanisms",
-        target=_figure13,
-        metrics=_figure13_metrics,
-        checks=_figure13_checks,
-        format=figures.format_figure13,
-    )
-)
-
-
-# ---------------------------------------------------------------------------
-# Figure 14: energy per access
-# ---------------------------------------------------------------------------
-def _figure14(context: BenchContext):
-    """Figure 14: energy per memory access for every refresh mechanism."""
-    return experiments.figure14_energy_per_access(
-        runner=context.runner, scale=context.scale
-    )
-
-
-def _figure14_metrics(result) -> dict:
-    metrics = {}
-    for density, energies in result.items():
-        metrics[f"dsarp_saving_vs_refab_{density}gb"] = (
-            1.0 - energies["dsarp"] / energies["refab"]
+    target.__doc__ = artifact.experiment.__doc__
+    register(
+        BenchSpec(
+            name=artifact.bench,
+            target=target,
+            metrics=artifact.metrics,
+            checks=checks,
+            format=artifact.text,
         )
-    return metrics
-
-
-def _figure14_checks(result, context: BenchContext) -> None:
-    if not _full_window(context):
-        return
-    for density, energies in result.items():
-        # Refresh costs energy: the ideal no-refresh system is cheapest.
-        assert energies["none"] <= energies["refab"]
-        # DSARP reduces energy per access relative to all-bank refresh.
-        assert energies["dsarp"] < energies["refab"]
-    # The energy penalty of REFab grows with density, so DSARP's relative
-    # saving grows too (paper: 3.0 % -> 9.0 %).
-    saving_8 = 1 - result[8]["dsarp"] / result[8]["refab"]
-    saving_32 = 1 - result[32]["dsarp"] / result[32]["refab"]
-    assert saving_32 > saving_8
-
-
-register(
-    BenchSpec(
-        name="figure14_energy",
-        target=_figure14,
-        metrics=_figure14_metrics,
-        checks=_figure14_checks,
-        format=figures.format_figure14,
-    )
-)
-
-
-# ---------------------------------------------------------------------------
-# Figure 15: memory-intensity sensitivity
-# ---------------------------------------------------------------------------
-def _figure15(context: BenchContext):
-    """Figure 15: DSARP improvement versus memory-intensity category."""
-    return experiments.figure15_memory_intensity(
-        runner=context.runner, scale=context.scale
     )
 
 
-def _figure15_metrics(result) -> dict:
-    return {
-        f"vs_refab_pct_cat{category}_{density}gb": values["vs_refab"]
-        for category, by_density in result.items()
-        for density, values in by_density.items()
-    }
-
-
-def _figure15_checks(result, context: BenchContext) -> None:
-    if not _full_window(context):
-        return
-    # DSARP's gain over REFab for memory-intensive workloads exceeds the
-    # gain for non-intensive workloads at the highest density.
-    assert result[100][32]["vs_refab"] > result[0][32]["vs_refab"]
-    # And the intensive-workload gain grows with density.
-    assert result[100][32]["vs_refab"] > result[100][8]["vs_refab"]
-
-
-register(
-    BenchSpec(
-        name="figure15_memory_intensity",
-        target=_figure15,
-        metrics=_figure15_metrics,
-        checks=_figure15_checks,
-        format=figures.format_figure15,
-    )
-)
-
-
-# ---------------------------------------------------------------------------
-# Figure 16: DDR4 fine-granularity refresh
-# ---------------------------------------------------------------------------
-def _figure16(context: BenchContext):
-    """Figure 16: FGR / adaptive refresh / DSARP normalized to REFab."""
-    return experiments.figure16_fgr_comparison(
-        runner=context.runner, scale=context.scale
-    )
-
-
-def _figure16_metrics(result) -> dict:
-    return {
-        f"{mechanism}_norm_{density}gb": value
-        for density, normalized in result.items()
-        for mechanism, value in normalized.items()
-    }
-
-
-def _figure16_checks(result, context: BenchContext) -> None:
-    if not _full_window(context):
-        return
-    for density, normalized in result.items():
-        # Fine-granularity refresh at 4x rate is worse than plain REFab.
-        assert normalized["fgr4x"] < 1.0
-        # 4x is worse than 2x (its aggregate refresh overhead is larger).
-        assert normalized["fgr4x"] <= normalized["fgr2x"] + 0.02
-        # DSARP beats REFab, FGR and AR.
-        assert normalized["dsarp"] > 1.0
-        assert normalized["dsarp"] > normalized["fgr2x"]
-        assert normalized["dsarp"] > normalized["ar"]
-
-
-register(
-    BenchSpec(
-        name="figure16_fgr",
-        target=_figure16,
-        metrics=_figure16_metrics,
-        checks=_figure16_checks,
-        format=figures.format_figure16,
-    )
-)
-
-
-# ---------------------------------------------------------------------------
-# Table 2: improvement summary (the paper's headline numbers)
-# ---------------------------------------------------------------------------
-def _table2(context: BenchContext):
-    """Table 2: max and gmean WS improvement over REFpb and REFab."""
-    return experiments.table2_improvement_summary(
-        runner=context.runner, scale=context.scale
-    )
-
-
-def _table2_metrics(summary) -> dict:
-    # The DSARP rows are the paper's headline: 3.3 / 7.2 / 15.2 % gmean
-    # over REFpb at 8 / 16 / 32 Gb.
-    return {
-        f"{mechanism}_{kind}_{density}gb": value
-        for density, mechanisms in summary.items()
-        for mechanism, entry in mechanisms.items()
-        for kind, value in entry.items()
-    }
-
-
-def _table2_checks(summary, context: BenchContext) -> None:
-    if not _full_window(context):
-        return
-    for density, mechanisms in summary.items():
-        for name, entry in mechanisms.items():
-            # Max improvements bound the gmean improvements.
-            assert entry["max_refab"] >= entry["gmean_refab"]
-            assert entry["max_refpb"] >= entry["gmean_refpb"]
-        # DSARP improves over REFab on average at every density.
-        assert mechanisms["dsarp"]["gmean_refab"] > 0
-    # DSARP's benefit over REFab grows with DRAM density.
-    assert summary[32]["dsarp"]["gmean_refab"] > summary[8]["dsarp"]["gmean_refab"]
-
-
-register(
-    BenchSpec(
-        name="table2_summary",
-        target=_table2,
-        metrics=_table2_metrics,
-        checks=_table2_checks,
-        format=tables.format_table2,
-    )
-)
-
-
-# ---------------------------------------------------------------------------
-# Table 3: core-count sensitivity
-# ---------------------------------------------------------------------------
-def _table3(context: BenchContext):
-    """Table 3: DSARP benefit on 2-, 4- and 8-core systems."""
-    return experiments.table3_core_count(runner=context.runner, scale=context.scale)
-
-
-def _table3_metrics(result) -> dict:
-    return {
-        f"{kind}_{cores}core": value
-        for cores, entry in result.items()
-        for kind, value in entry.items()
-    }
-
-
-def _table3_checks(result, context: BenchContext) -> None:
-    if not _full_window(context):
-        return
-    for cores, entry in result.items():
-        # DSARP never degrades weighted speedup relative to REFab.
-        assert entry["weighted_speedup_improvement"] > 0
-        assert entry["energy_per_access_reduction"] > 0
-    # The benefit does not shrink as core count (memory pressure) grows.
-    assert (
-        result[8]["weighted_speedup_improvement"]
-        >= result[2]["weighted_speedup_improvement"] * 0.5
-    )
-
-
-register(
-    BenchSpec(
-        name="table3_core_count",
-        target=_table3,
-        metrics=_table3_metrics,
-        checks=_table3_checks,
-        format=tables.format_table3,
-    )
-)
-
-
-# ---------------------------------------------------------------------------
-# Table 4: tFAW sensitivity
-# ---------------------------------------------------------------------------
-def _table4(context: BenchContext):
-    """Table 4: SARPpb benefit versus the tFAW activation window."""
-    return experiments.table4_tfaw_sensitivity(
-        runner=context.runner, scale=context.scale
-    )
-
-
-def _table4_metrics(result) -> dict:
-    return {f"improvement_pct_tfaw{tfaw}": value for tfaw, value in result.items()}
-
-
-def _table4_checks(result, context: BenchContext) -> None:
-    if not _full_window(context):
-        return
-    tfaws = sorted(result)
-    # SARPpb improves over REFpb at the default tFAW of 20 cycles.
-    assert result[20] > 0
-    # Tightening tFAW (larger values) never increases SARPpb's benefit
-    # beyond what the loosest setting achieves.
-    assert max(result.values()) >= result[tfaws[-1]]
-
-
-register(
-    BenchSpec(
-        name="table4_tfaw",
-        target=_table4,
-        metrics=_table4_metrics,
-        checks=_table4_checks,
-        format=tables.format_table4,
-    )
-)
-
-
-# ---------------------------------------------------------------------------
-# Table 5: subarray-count sensitivity
-# ---------------------------------------------------------------------------
-def _table5(context: BenchContext):
-    """Table 5: SARPpb benefit versus subarrays per bank."""
-    return experiments.table5_subarray_sensitivity(
-        runner=context.runner, scale=context.scale
-    )
-
-
-def _table5_metrics(result) -> dict:
-    return {
-        f"improvement_pct_{count}subarrays": value for count, value in result.items()
-    }
-
-
-def _table5_checks(result, context: BenchContext) -> None:
-    if not _full_window(context):
-        return
-    # One subarray per bank means SARP cannot parallelize anything.
-    assert abs(result[1]) < 1.5
-    # More subarrays reduce the probability of a subarray conflict, so the
-    # benefit at 64 subarrays exceeds the benefit at 1.
-    assert result[64] > result[1]
-    # And the large-subarray-count regime beats the single-subarray case by
-    # a clear margin (the paper's trend).
-    assert max(result[c] for c in (16, 32, 64)) > result[2]
-
-
-register(
-    BenchSpec(
-        name="table5_subarrays",
-        target=_table5,
-        metrics=_table5_metrics,
-        checks=_table5_checks,
-        format=tables.format_table5,
-    )
-)
-
-
-# ---------------------------------------------------------------------------
-# Table 6: 64 ms retention time
-# ---------------------------------------------------------------------------
-def _table6(context: BenchContext):
-    """Table 6: DSARP improvement with a 64 ms retention time."""
-    return experiments.table6_refresh_interval(
-        runner=context.runner, scale=context.scale
-    )
-
-
-def _table6_metrics(result) -> dict:
-    return {
-        f"{kind}_{density}gb": value
-        for density, entry in result.items()
-        for kind, value in entry.items()
-    }
-
-
-def _table6_checks(result, context: BenchContext) -> None:
-    if not _full_window(context):
-        return
-    for density, entry in result.items():
-        assert entry["gmean_refab"] > -1.0  # never a real regression
-    # The improvement over REFab grows with density even at 64 ms.
-    assert result[32]["gmean_refab"] > result[8]["gmean_refab"]
-    # And DSARP still improves over REFab at the highest density.
-    assert result[32]["gmean_refab"] > 0
-
-
-register(
-    BenchSpec(
-        name="table6_refresh_interval",
-        target=_table6,
-        metrics=_table6_metrics,
-        checks=_table6_checks,
-        format=tables.format_table6,
-    )
-)
-
-
-# ---------------------------------------------------------------------------
-# Ablations: DARP components, DSARP additivity
-# ---------------------------------------------------------------------------
-def _darp_components(context: BenchContext):
-    """Section 6.1.2: out-of-order refresh alone versus full DARP."""
-    return experiments.darp_component_breakdown(
-        runner=context.runner, scale=context.scale
-    )
-
-
-def _darp_components_metrics(result) -> dict:
-    return {
-        f"{kind}_pct_{density}gb": value
-        for density, entry in result.items()
-        for kind, value in entry.items()
-    }
-
-
-def _darp_components_checks(result, context: BenchContext) -> None:
-    if not _full_window(context):
-        return
-    for density, entry in result.items():
-        # Out-of-order refresh alone already improves over REFab.
-        assert entry["out_of_order_only"] > 0
-        # Full DARP is at least comparable to its out-of-order component
-        # (write-refresh parallelization should not hurt).
-        assert entry["darp"] >= entry["out_of_order_only"] - 1.5
-
-
-def _darp_components_format(result) -> str:
-    rows = [
-        [f"{density}Gb", f"{entry['out_of_order_only']:+.1f}", f"{entry['darp']:+.1f}"]
-        for density, entry in sorted(result.items())
-    ]
-    return tables.format_table(
-        ["Density", "Out-of-order only (% over REFab)", "Full DARP (% over REFab)"],
-        rows,
-        title="Section 6.1.2: DARP component breakdown",
-    )
-
-
-register(
-    BenchSpec(
-        name="ablation_darp_components",
-        target=_darp_components,
-        metrics=_darp_components_metrics,
-        checks=_darp_components_checks,
-        format=_darp_components_format,
-    )
-)
-
-
-def _dsarp_additivity(context: BenchContext):
-    """Ablation: DARP + SARPpb additivity in DSARP at 32 Gb."""
-    return experiments.dsarp_additivity(runner=context.runner, scale=context.scale)
-
-
-def _dsarp_additivity_metrics(result) -> dict:
-    return {f"{name}_improvement_pct": value for name, value in result.items()}
-
-
-def _dsarp_additivity_checks(result, context: BenchContext) -> None:
-    if not _full_window(context):
-        return
-    # Every component improves over REFab at 32 Gb.
-    assert result["darp"] > 0
-    assert result["sarppb"] > 0
-    # The combination is at least as good as DARP alone (within noise) and
-    # improves on REFab by more than either component degrades.
-    assert result["dsarp"] >= result["darp"] - 1.0
-    assert result["dsarp"] > 0
-
-
-def _dsarp_additivity_format(result) -> str:
-    rows = [[name, f"{value:+.2f}"] for name, value in result.items()]
-    return tables.format_table(
-        ["Mechanism", "WS improvement over REFab (%)"],
-        rows,
-        title="DSARP additivity ablation (32 Gb)",
-    )
-
-
-register(
-    BenchSpec(
-        name="ablation_dsarp_additivity",
-        target=_dsarp_additivity,
-        metrics=_dsarp_additivity_metrics,
-        checks=_dsarp_additivity_checks,
-        format=_dsarp_additivity_format,
-    )
-)
+for _artifact in ARTIFACTS:
+    _register_artifact(_artifact)
 
 
 # ---------------------------------------------------------------------------

@@ -35,159 +35,26 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import inspect
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, TextIO
+from typing import Optional, TextIO
 
+from repro import artifacts
+from repro.artifacts import Artifact
 from repro.config.controller_config import PAGE_POLICIES, PAGE_POLICY_DESCRIPTIONS
 from repro.controller.policies import scheduler_descriptions, scheduler_names
 from repro.engine.executor import JobExecutor, ParallelExecutor, SerialExecutor
 from repro.engine.progress import ProgressPrinter
 from repro.engine.store import STORE_BACKENDS, open_store
-from repro.sim import experiments
 from repro.sim.experiments import ExperimentScale
 from repro.sim.runner import ExperimentRunner
 
 
-def _doc_summary(function: Callable) -> str:
-    """One-line summary of an experiment: its docstring's first line."""
-    doc = inspect.getdoc(function)
-    if not doc:
-        return ""
-    return doc.splitlines()[0].strip().rstrip(".")
-
-
-@dataclass(frozen=True)
-class Experiment:
-    """One runnable experiment: a name, its function and an entry point.
-
-    The ``list`` subcommand describes each experiment by the first line
-    of its function's docstring, so descriptions live exactly once — on
-    the experiment functions themselves.
-    """
-
-    name: str
-    function: Callable
-    run: Callable[[ExperimentRunner, ExperimentScale], object]
-
-    @property
-    def description(self) -> str:
-        return _doc_summary(self.function)
-
-
-def _simulation_free(function: Callable[[], object]):
-    """Adapt an experiment that needs no simulations to the common shape."""
-
-    def run(runner: ExperimentRunner, scale: ExperimentScale) -> object:
-        return function()
-
-    return run
-
-
-def _standard(function) -> Callable[[ExperimentRunner, ExperimentScale], object]:
-    """Adapt the common ``function(runner=..., scale=...)`` signature."""
-
-    def run(runner: ExperimentRunner, scale: ExperimentScale) -> object:
-        return function(runner=runner, scale=scale)
-
-    return run
-
-
-EXPERIMENTS: dict[str, Experiment] = {
-    experiment.name: experiment
-    for experiment in (
-        Experiment(
-            "figure5",
-            experiments.figure5_refresh_latency_trend,
-            _simulation_free(experiments.figure5_refresh_latency_trend),
-        ),
-        Experiment(
-            "figure6",
-            experiments.figure6_refab_performance_loss,
-            _standard(experiments.figure6_refab_performance_loss),
-        ),
-        Experiment(
-            "figure7",
-            experiments.figure7_refab_vs_refpb_loss,
-            _standard(experiments.figure7_refab_vs_refpb_loss),
-        ),
-        Experiment(
-            "figure12",
-            experiments.figure12_workload_sweep,
-            _standard(experiments.figure12_workload_sweep),
-        ),
-        Experiment(
-            "figure13",
-            experiments.figure13_all_mechanisms,
-            _standard(experiments.figure13_all_mechanisms),
-        ),
-        Experiment(
-            "figure14",
-            experiments.figure14_energy_per_access,
-            _standard(experiments.figure14_energy_per_access),
-        ),
-        Experiment(
-            "figure15",
-            experiments.figure15_memory_intensity,
-            _standard(experiments.figure15_memory_intensity),
-        ),
-        Experiment(
-            "figure16",
-            experiments.figure16_fgr_comparison,
-            _standard(experiments.figure16_fgr_comparison),
-        ),
-        Experiment(
-            "table2",
-            experiments.table2_improvement_summary,
-            _standard(experiments.table2_improvement_summary),
-        ),
-        Experiment(
-            "table3",
-            experiments.table3_core_count,
-            _standard(experiments.table3_core_count),
-        ),
-        Experiment(
-            "table4",
-            experiments.table4_tfaw_sensitivity,
-            _standard(experiments.table4_tfaw_sensitivity),
-        ),
-        Experiment(
-            "table5",
-            experiments.table5_subarray_sensitivity,
-            _standard(experiments.table5_subarray_sensitivity),
-        ),
-        Experiment(
-            "table6",
-            experiments.table6_refresh_interval,
-            _standard(experiments.table6_refresh_interval),
-        ),
-        Experiment(
-            "darp_components",
-            experiments.darp_component_breakdown,
-            _standard(experiments.darp_component_breakdown),
-        ),
-        Experiment(
-            "dsarp_additivity",
-            experiments.dsarp_additivity,
-            _standard(experiments.dsarp_additivity),
-        ),
-    )
-}
-
-
-def _to_jsonable(value: object) -> object:
-    """Recursively convert experiment output to JSON-compatible data."""
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return _to_jsonable(dataclasses.asdict(value))
-    if isinstance(value, dict):
-        return {str(key): _to_jsonable(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_to_jsonable(item) for item in value]
-    return value
+def _artifacts() -> dict[str, Artifact]:
+    """The runnable experiments by name (see :mod:`repro.artifacts`)."""
+    return {artifact.name: artifact for artifact in artifacts.ARTIFACTS}
 
 
 def _positive_int(text: str) -> int:
@@ -267,6 +134,10 @@ def _density_list(text: str) -> tuple[int, ...]:
         ) from None
     if not densities:
         raise argparse.ArgumentTypeError("expected at least one density")
+    if min(densities) < 1:
+        raise argparse.ArgumentTypeError(
+            f"densities must be at least 1 Gb, got {text!r}"
+        )
     return densities
 
 
@@ -453,7 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_parser = subparsers.add_parser("run", help="run one experiment")
     run_parser.add_argument(
         "experiment",
-        choices=sorted(EXPERIMENTS),
+        choices=sorted(_artifacts()),
         help="which figure/table to reproduce",
     )
     _add_engine_arguments(run_parser)
@@ -719,7 +590,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     profile_parser.add_argument(
         "experiment",
-        choices=sorted(EXPERIMENTS),
+        choices=sorted(_artifacts()),
         help="which figure/table to profile",
     )
     _add_engine_arguments(profile_parser)
@@ -973,11 +844,13 @@ def _write_run_summary(
 
 
 def _run_command(args: argparse.Namespace, stdout: TextIO, stderr: TextIO) -> int:
-    experiment = EXPERIMENTS[args.experiment]
-    runner = _build_runner(args, stderr)
-    result = experiment.run(runner, _build_scale(args))
+    from repro.report.paper import canonical
 
-    payload = json.dumps(_to_jsonable(result), indent=2, sort_keys=True)
+    artifact = _artifacts()[args.experiment]
+    runner = _build_runner(args, stderr)
+    result = artifact.payload(runner, _build_scale(args))
+
+    payload = json.dumps(canonical(result), indent=2, sort_keys=True)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(payload + "\n")
@@ -1175,7 +1048,9 @@ def _trace_command(args: argparse.Namespace, stdout: TextIO, stderr: TextIO) -> 
             )
     if args.json:
         out = payloads[0] if len(payloads) == 1 else payloads
-        stdout.write(json.dumps(_to_jsonable(out), indent=2, sort_keys=True) + "\n")
+        from repro.report.paper import canonical
+
+        stdout.write(json.dumps(canonical(out), indent=2, sort_keys=True) + "\n")
     return 1 if failures else 0
 
 
@@ -1183,11 +1058,11 @@ def _profile_command(args: argparse.Namespace, stdout: TextIO, stderr: TextIO) -
     """``repro profile``: run an experiment under the span profiler."""
     import repro.obs.profile as obs_profile
 
-    experiment = EXPERIMENTS[args.experiment]
+    artifact = _artifacts()[args.experiment]
     runner = _build_runner(args, stderr)
     obs_profile.enable()
     try:
-        experiment.run(runner, _build_scale(args))
+        artifact.payload(runner, _build_scale(args))
     finally:
         profiler = obs_profile.disable()
     _write_run_summary(runner, args, stderr)
@@ -1403,13 +1278,14 @@ def main(
     if args.command == "list":
         from repro.sweep.builtin import BUILTIN_SPECS
 
+        experiments = _artifacts()
         width = max(
-            max(len(name) for name in EXPERIMENTS),
+            max(len(name) for name in experiments),
             max(len(name) for name in BUILTIN_SPECS),
         )
         stdout.write("experiments (repro run <name>):\n")
-        for name in sorted(EXPERIMENTS):
-            stdout.write(f"  {name:<{width}}  {EXPERIMENTS[name].description}\n")
+        for name in sorted(experiments):
+            stdout.write(f"  {name:<{width}}  {experiments[name].description}\n")
         stdout.write("\nbuilt-in sweeps (repro sweep <name>):\n")
         for name in sorted(BUILTIN_SPECS):
             description = BUILTIN_SPECS[name]().description

@@ -182,6 +182,8 @@ class DRAMConfig:
         of 2 or 4 applies the DDR4 fine-granularity-refresh scaling of
         Section 6.5 (tREFI / mode, tRFC / 1.35 or / 1.63).
         """
+        if density_gb < 1:
+            raise ValueError(f"DRAM density must be at least 1 Gb, got {density_gb!r}")
         org = organization or DRAMOrganization()
         base = DRAMTimings()
         trfc_ab_ns = projected_trfc_ns(density_gb, projection=projection)

@@ -18,7 +18,6 @@ deterministic SVG (the target container has no plotting stack).
 
 from repro.report.paper import (
     ARTIFACTS,
-    PaperArtifact,
     PaperReport,
     generate_paper_report,
 )
@@ -34,7 +33,6 @@ from repro.report.trend import (
 __all__ = [
     "ARTIFACTS",
     "DRIFT_MARKER",
-    "PaperArtifact",
     "PaperReport",
     "RunReport",
     "TrendReport",

@@ -2,8 +2,8 @@
 
 Following the SimCash ``paper_generator`` pattern, every headline artifact
 of the reproduction is regenerated from data rather than copied from test
-output: each :class:`PaperArtifact` names one paper table/figure, the
-experiment function that produces its payload, the
+output: each charted :class:`~repro.artifacts.Artifact` names one paper
+table/figure, the experiment function that produces its payload, the
 :mod:`repro.analysis` tabulation that models it, and a chart extraction
 for the SVG plot.  :func:`generate_paper_report` runs the experiments
 through a shared (optionally store-backed)
@@ -31,13 +31,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
-from repro.analysis import figures as fig
-from repro.analysis import tables as tab
-from repro.analysis.model import Chart, Table
+from repro import artifacts
+from repro.analysis.model import Table
+from repro.artifacts import Artifact
 from repro.report.plot import render_chart
-from repro.sim import experiments
 from repro.sim.experiments import ExperimentScale, default_scale
 from repro.sim.runner import ExperimentRunner
 
@@ -63,7 +62,8 @@ class ReportError(ValueError):
 
 
 def canonical(payload: object) -> object:
-    """JSON round trip: int keys become strings, tuples become lists."""
+    """JSON round trip: int keys become strings, tuples become lists and
+    dataclasses dicts (the one normal form every artifact JSON is written in)."""
     return json.loads(json.dumps(payload, sort_keys=True, default=_jsonable))
 
 
@@ -85,273 +85,12 @@ def golden_dir() -> Optional[Path]:
     return None
 
 
-# -- chart extractions -------------------------------------------------------
-
-
-def _density_series(result: dict, kind: str, title: str, y_label: str) -> Chart:
-    """``{density: {mechanism: value}}`` -> one series per mechanism."""
-    densities = sorted(result)
-    mechanisms = list(next(iter(result.values())).keys())
-    return Chart.build(
-        title,
-        [f"{d}Gb" for d in densities],
-        {m: [result[d][m] for d in densities] for m in mechanisms},
-        kind=kind,
-        y_label=y_label,
-    )
-
-
-def _chart_figure5(points) -> Chart:
-    return Chart.build(
-        "Figure 5: refresh latency (tRFCab) trend",
-        [p.density_gb for p in points],
-        {
-            "present": [p.present_ns for p in points],
-            "projection 1": [p.projection1_ns for p in points],
-            "projection 2": [p.projection2_ns for p in points],
-        },
-        kind="line",
-        y_label="tRFCab (ns)",
-    )
-
-
-def _chart_figure6(result: dict) -> Chart:
-    densities = sorted(next(iter(result.values())).keys())
-    categories = sorted(k for k in result if k >= 0)
-    return Chart.build(
-        "Figure 6: performance loss due to REFab",
-        [f"{c}%" for c in categories],
-        {f"{d}Gb": [result[c][d] for c in categories] for d in densities},
-        kind="bar",
-        y_label="WS loss (%)",
-    )
-
-
-def _chart_figure7(result: dict) -> Chart:
-    return _density_series(
-        result, "bar", "Figure 7: performance loss due to REFab and REFpb",
-        "WS loss (%)"
-    )
-
-
-def _chart_figure12(sweep: dict) -> Chart:
-    # One bar group per workload at the largest density (the paper's
-    # headline panel); the per-density tables carry the full data.
-    density = max(sweep)
-    per_workload = sweep[density]
-    mechanisms = sorted(next(iter(per_workload.values())).keys())
-    names = sorted(per_workload)
-    return Chart.build(
-        f"Figure 12 ({density}Gb): WS normalized to REFab",
-        names,
-        {m: [per_workload[w][m] for w in names] for m in mechanisms},
-        kind="bar",
-        y_label="normalized WS",
-    )
-
-
-def _chart_figure13(result: dict) -> Chart:
-    return _density_series(
-        result, "bar", "Figure 13: average WS improvement over REFab (%)",
-        "improvement (%)"
-    )
-
-
-def _chart_figure14(result: dict) -> Chart:
-    return _density_series(
-        result, "bar", "Figure 14: energy per access (nJ)", "nJ/access"
-    )
-
-
-def _chart_figure15(result: dict) -> Chart:
-    categories = sorted(result)
-    densities = sorted(next(iter(result.values())).keys())
-    series = {}
-    for density in densities:
-        series[f"vs REFab {density}Gb"] = [
-            result[c][density]["vs_refab"] for c in categories
-        ]
-        series[f"vs REFpb {density}Gb"] = [
-            result[c][density]["vs_refpb"] for c in categories
-        ]
-    return Chart.build(
-        "Figure 15: DSARP improvement by memory intensity",
-        [f"{c}%" for c in categories],
-        series,
-        kind="bar",
-        y_label="improvement (%)",
-    )
-
-
-def _chart_figure16(result: dict) -> Chart:
-    return _density_series(
-        result, "bar", "Figure 16: WS normalized to REFab (FGR / AR / DSARP)",
-        "normalized WS"
-    )
-
-
-def _chart_table2(summary: dict) -> Chart:
-    densities = sorted(summary)
-    mechanisms = ("darp", "sarppb", "dsarp")
-    return Chart.build(
-        "Table 2: gmean WS improvement over REFpb (%)",
-        [f"{d}Gb" for d in densities],
-        {m: [summary[d][m]["gmean_refpb"] for d in densities] for m in mechanisms},
-        kind="bar",
-        y_label="gmean improvement (%)",
-    )
-
-
-def _chart_table3(result: dict) -> Chart:
-    cores = sorted(result)
-    keys = (
-        "weighted_speedup_improvement",
-        "harmonic_speedup_improvement",
-        "maximum_slowdown_reduction",
-        "energy_per_access_reduction",
-    )
-    return Chart.build(
-        "Table 3: DSARP vs REFab across core counts",
-        [str(c) for c in cores],
-        {key: [result[c][key] for c in cores] for key in keys},
-        kind="line",
-        y_label="improvement (%)",
-    )
-
-
-def _chart_table4(result: dict) -> Chart:
-    tfaws = sorted(result)
-    return Chart.build(
-        "Table 4: SARPpb over REFpb vs tFAW",
-        [str(t) for t in tfaws],
-        {"WS improvement": [result[t] for t in tfaws]},
-        kind="line",
-        y_label="improvement (%)",
-    )
-
-
-def _chart_table5(result: dict) -> Chart:
-    counts = sorted(result)
-    return Chart.build(
-        "Table 5: effect of subarrays per bank",
-        [str(c) for c in counts],
-        {"WS improvement": [result[c] for c in counts]},
-        kind="line",
-        y_label="improvement (%)",
-    )
-
-
-def _chart_table6(result: dict) -> Chart:
-    densities = sorted(result)
-    keys = ("gmean_refpb", "gmean_refab", "max_refpb", "max_refab")
-    return Chart.build(
-        "Table 6: DSARP improvement with 64 ms retention",
-        [f"{d}Gb" for d in densities],
-        {key: [result[d][key] for d in densities] for key in keys},
-        kind="bar",
-        y_label="improvement (%)",
-    )
-
-
-# -- the artifact registry ---------------------------------------------------
-
-
-def _blocks(tabulate: Callable) -> Callable[[object], list[Table]]:
-    """Normalize a tabulation to a list of table blocks."""
-
-    def wrapped(payload: object) -> list[Table]:
-        result = tabulate(payload)
-        return result if isinstance(result, list) else [result]
-
-    return wrapped
-
-
-@dataclass(frozen=True)
-class PaperArtifact:
-    """One regenerable paper artifact."""
-
-    name: str
-    title: str
-    experiment: Callable
-    tabulate: Callable[[object], list[Table]]
-    chart: Callable[[object], Chart]
-    simulates: bool = True
-
-    def payload(self, runner: ExperimentRunner, scale: ExperimentScale) -> object:
-        if not self.simulates:
-            return self.experiment()
-        return self.experiment(runner=runner, scale=scale)
-
-
-ARTIFACTS: dict[str, PaperArtifact] = {
+#: The charted artifacts, by name: every paper table and figure (the
+#: ablations have no chart and no report page).
+ARTIFACTS: dict[str, Artifact] = {
     artifact.name: artifact
-    for artifact in (
-        PaperArtifact(
-            "figure5", "Figure 5: refresh latency (tRFCab) trend",
-            experiments.figure5_refresh_latency_trend,
-            _blocks(fig.tabulate_figure5), _chart_figure5, simulates=False,
-        ),
-        PaperArtifact(
-            "figure6", "Figure 6: performance loss due to REFab",
-            experiments.figure6_refab_performance_loss,
-            _blocks(fig.tabulate_figure6), _chart_figure6,
-        ),
-        PaperArtifact(
-            "figure7", "Figure 7: performance loss due to REFab and REFpb",
-            experiments.figure7_refab_vs_refpb_loss,
-            _blocks(fig.tabulate_figure7), _chart_figure7,
-        ),
-        PaperArtifact(
-            "figure12", "Figure 12: per-workload WS normalized to REFab",
-            experiments.figure12_workload_sweep,
-            _blocks(fig.tabulate_figure12), _chart_figure12,
-        ),
-        PaperArtifact(
-            "figure13", "Figure 13: average WS improvement over REFab",
-            experiments.figure13_all_mechanisms,
-            _blocks(fig.tabulate_figure13), _chart_figure13,
-        ),
-        PaperArtifact(
-            "figure14", "Figure 14: energy per access",
-            experiments.figure14_energy_per_access,
-            _blocks(fig.tabulate_figure14), _chart_figure14,
-        ),
-        PaperArtifact(
-            "figure15", "Figure 15: DSARP improvement by memory intensity",
-            experiments.figure15_memory_intensity,
-            _blocks(fig.tabulate_figure15), _chart_figure15,
-        ),
-        PaperArtifact(
-            "figure16", "Figure 16: WS normalized to REFab (FGR / AR / DSARP)",
-            experiments.figure16_fgr_comparison,
-            _blocks(fig.tabulate_figure16), _chart_figure16,
-        ),
-        PaperArtifact(
-            "table2", "Table 2: WS improvement of DARP/SARPpb/DSARP",
-            experiments.table2_improvement_summary,
-            _blocks(tab.tabulate_table2), _chart_table2,
-        ),
-        PaperArtifact(
-            "table3", "Table 3: DSARP vs REFab across core counts",
-            experiments.table3_core_count,
-            _blocks(tab.tabulate_table3), _chart_table3,
-        ),
-        PaperArtifact(
-            "table4", "Table 4: SARPpb over REFpb vs tFAW",
-            experiments.table4_tfaw_sensitivity,
-            _blocks(tab.tabulate_table4), _chart_table4,
-        ),
-        PaperArtifact(
-            "table5", "Table 5: effect of subarrays per bank",
-            experiments.table5_subarray_sensitivity,
-            _blocks(tab.tabulate_table5), _chart_table5,
-        ),
-        PaperArtifact(
-            "table6", "Table 6: DSARP improvement with 64 ms retention",
-            experiments.table6_refresh_interval,
-            _blocks(tab.tabulate_table6), _chart_table6,
-        ),
-    )
+    for artifact in artifacts.ARTIFACTS
+    if artifact.chart is not None
 }
 
 
@@ -386,7 +125,7 @@ class PaperReport:
         return not any(check.failed for check in self.crosschecks)
 
 
-def _artifact_markdown(artifact: PaperArtifact, blocks: list[Table]) -> str:
+def _artifact_markdown(artifact: Artifact, blocks: list[Table]) -> str:
     lines = [f"## {artifact.title}", ""]
     for block in blocks:
         if block.title and block.title != artifact.title:

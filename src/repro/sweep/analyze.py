@@ -10,15 +10,15 @@ Three analyses over the :class:`~repro.sweep.compile.SweepCell` grid:
   swept axis (gmean across workloads and the other axes),
 * :func:`best_per_workload` — the best configuration for every workload.
 
-:func:`summarize` renders all three through
-:mod:`repro.analysis.tables` into the ``summary.md`` artifact.
+:func:`summarize` renders all three as
+:class:`~repro.analysis.model.Table` text into the ``summary.md`` artifact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.tables import format_table
+from repro.analysis.model import Table
 from repro.metrics.speedup import average_percent_improvement
 from repro.sweep.compile import SweepCell, SweepResult
 from repro.sweep.spec import describe_point, point_key
@@ -204,11 +204,11 @@ def format_pareto(summaries: list[ConfigSummary]) -> str:
         ]
         for summary in summaries
     ]
-    return format_table(
+    return Table.build(
         ["Pareto", "Design point", "Mechanism", "Avg WS", "Energy/access (nJ)"],
         rows,
         title="Pareto frontier (weighted speedup vs energy per access)",
-    )
+    ).to_text()
 
 
 def format_sensitivity(
@@ -226,11 +226,11 @@ def format_sensitivity(
             for value in per_value
         ]
         sections.append(
-            format_table(
+            Table.build(
                 [axis_name] + [f"{m} (% vs {baseline})" for m in mechanisms],
                 rows,
                 title=f"Sensitivity to {axis_name}",
-            )
+            ).to_text()
         )
     return "\n\n".join(sections)
 
@@ -245,11 +245,11 @@ def format_best_per_workload(best: dict[str, ConfigSummary]) -> str:
         ]
         for workload, summary in best.items()
     ]
-    return format_table(
+    return Table.build(
         ["Workload", "Best design point", "Mechanism", "WS"],
         rows,
         title="Best configuration per workload",
-    )
+    ).to_text()
 
 
 def summarize(result: SweepResult) -> str:

@@ -15,8 +15,8 @@ from repro.bench import (
 )
 from repro.sim.runner import ExperimentRunner
 
-#: Names of the benchmarks ported from ``benchmarks/bench_*.py``; the
-#: quick tier must keep covering all of them.
+#: Names of the standard benchmarks (the paper artifacts plus the engine,
+#: kernel and cache benches); the quick tier must keep covering all of them.
 PORTED_BENCHMARKS = (
     "ablation_darp_components",
     "ablation_dsarp_additivity",

@@ -131,6 +131,12 @@ class TestDRAMConfig:
         with pytest.raises(ValueError):
             DRAMConfig.for_density(8, fgr_mode=3)
 
+    @pytest.mark.parametrize("density", [0, -8])
+    def test_non_positive_density_rejected(self, density):
+        # A negative density would project a negative tRFC and simulate.
+        with pytest.raises(ValueError, match="at least 1 Gb"):
+            DRAMConfig.for_density(density)
+
     def test_rows_per_refresh(self):
         config = DRAMConfig.for_density(8)
         assert config.rows_per_refresh == 65536 // 8192

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import EXPERIMENTS, main
+from repro.artifacts import ARTIFACTS
+from repro.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -24,14 +25,14 @@ class TestListCommand:
     def test_lists_every_experiment(self):
         code, out, _ = run_cli(["list"])
         assert code == 0
-        for name in EXPERIMENTS:
-            assert name in out
+        for artifact in ARTIFACTS:
+            assert artifact.name in out
 
     def test_descriptions_come_from_docstrings(self):
         code, out, _ = run_cli(["list"])
         assert code == 0
-        for experiment in EXPERIMENTS.values():
-            summary = (experiment.function.__doc__ or "").splitlines()[0]
+        for artifact in ARTIFACTS:
+            summary = (artifact.experiment.__doc__ or "").splitlines()[0]
             assert summary.strip().rstrip(".") in out
 
 
@@ -67,6 +68,12 @@ class TestRunCommand:
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
             run_cli(["run", "figure99"])
+
+    @pytest.mark.parametrize("densities", ["-8", "0", "8,-32"])
+    def test_non_positive_density_rejected(self, densities):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(["run", "figure5", f"--densities={densities}"])
+        assert excinfo.value.code == 2
 
     def test_output_file(self, tmp_path):
         out_path = tmp_path / "figure5.json"

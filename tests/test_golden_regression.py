@@ -22,32 +22,27 @@ import pathlib
 import pytest
 
 from repro.config.obs_config import ObsConfig
+from repro.report.paper import (
+    GOLDEN_CYCLES,
+    GOLDEN_SCALE,
+    GOLDEN_WARMUP,
+    canonical,
+)
 from repro.sim import experiments
-from repro.sim.experiments import ExperimentScale
 from repro.sim.runner import ExperimentRunner
 
+#: The reduced but fixed golden identity (window and scale) is declared once
+#: in :mod:`repro.report.paper`: changing any of it requires regenerating
+#: the goldens.  Its density set pins the smallest and largest Table 2 rows
+#: (the 16 Gb row interpolates between them and would double the fixture
+#: cost for little extra signal).
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
-
-#: Reduced but fixed scale: everything here is part of the fixture identity
-#: — changing any of it requires regenerating the goldens.  The density set
-#: pins the smallest and largest Table 2 rows (the 16 Gb row interpolates
-#: between them and would double the fixture cost for little extra signal).
-CYCLES = 1200
-WARMUP = 200
-SCALE = ExperimentScale(
-    workloads_per_category=1, sensitivity_workloads=1, densities=(8, 32)
-)
 
 
 @pytest.fixture(scope="module")
 def runner() -> ExperimentRunner:
     """One memoizing runner for the module: REFab/alone runs are shared."""
-    return ExperimentRunner(cycles=CYCLES, warmup=WARMUP)
-
-
-def canonical(payload: object) -> object:
-    """JSON round trip: int keys become strings, tuples become lists."""
-    return json.loads(json.dumps(payload, sort_keys=True))
+    return ExperimentRunner(cycles=GOLDEN_CYCLES, warmup=GOLDEN_WARMUP)
 
 
 def check_golden(name: str, payload: object, update: bool) -> None:
@@ -71,13 +66,13 @@ def check_golden(name: str, payload: object, update: bool) -> None:
 
 def test_table2_summary_pinned(runner, update_golden):
     """Table 2: DARP/SARPpb/DSARP improvements over REFpb and REFab."""
-    result = experiments.table2_improvement_summary(runner=runner, scale=SCALE)
+    result = experiments.table2_improvement_summary(runner=runner, scale=GOLDEN_SCALE)
     check_golden("table2_summary", result, update_golden)
 
 
 def test_figure13_32gb_row_pinned(runner, update_golden):
     """Figure 13, 32 Gb row: average % WS improvement over REFab."""
-    result = experiments.figure13_all_mechanisms(runner=runner, scale=SCALE)
+    result = experiments.figure13_all_mechanisms(runner=runner, scale=GOLDEN_SCALE)
     check_golden("figure13_32gb_row", result[32], update_golden)
 
 
@@ -94,6 +89,6 @@ def test_table2_summary_with_observability_identical(update_golden):
     golden_path = GOLDEN_DIR / "table2_summary.json"
     assert golden_path.exists(), "generate the plain fixture first"
     obs = ObsConfig(trace=True, epoch_interval=293)
-    runner = ExperimentRunner(cycles=CYCLES, warmup=WARMUP, obs=obs)
-    result = experiments.table2_improvement_summary(runner=runner, scale=SCALE)
+    runner = ExperimentRunner(cycles=GOLDEN_CYCLES, warmup=GOLDEN_WARMUP, obs=obs)
+    result = experiments.table2_improvement_summary(runner=runner, scale=GOLDEN_SCALE)
     assert canonical(result) == json.loads(golden_path.read_text())

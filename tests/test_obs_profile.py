@@ -7,6 +7,7 @@ import io
 import pytest
 
 import repro.obs.profile as obs_profile
+from repro import artifacts
 from repro.cli import main
 from repro.obs.profile import SpanProfiler
 
@@ -95,19 +96,22 @@ class TestGlobalProtocol:
         assert "controller.horizon_scan" in spans
 
 
+def _register_stub(monkeypatch, name, experiment):
+    """Make ``experiment`` runnable as ``repro profile <name>``."""
+    stub = artifacts.Artifact(name, name, name, experiment, lambda payload: [])
+    monkeypatch.setattr(artifacts, "ARTIFACTS", artifacts.ARTIFACTS + (stub,))
+
+
 def test_profile_cli_prints_hotspot_table(monkeypatch):
     # A real experiment costs ~10s of simulator construction; a registry
     # stub keeps the CLI path end-to-end (parser -> runner -> engine ->
     # profiler table) while simulating one small cell.
-    import repro.cli as cli
-
     from tests.conftest import small_system, small_workload
 
     def tiny(runner, scale):
         return runner.simulate(small_system("refab"), small_workload())
 
-    experiment = cli.Experiment("tiny", tiny, tiny)
-    monkeypatch.setitem(cli.EXPERIMENTS, "tiny", experiment)
+    _register_stub(monkeypatch, "tiny", tiny)
     stdout, stderr = io.StringIO(), io.StringIO()
     code = main(
         ["profile", "tiny", "--cycles", "400", "--warmup", "80", "--top", "3"],
@@ -125,15 +129,13 @@ def test_profile_cli_prints_hotspot_table(monkeypatch):
 
 
 def test_profile_cli_attributes_llc_warmup(monkeypatch):
-    import repro.cli as cli
     from repro.config.presets import paper_system
     from repro.workloads.mixes import make_workload_category
 
     def eight_core(runner, scale):
         return runner.simulate(paper_system(), make_workload_category(50, 0))
 
-    experiment = cli.Experiment("eight_core", eight_core, eight_core)
-    monkeypatch.setitem(cli.EXPERIMENTS, "eight_core", experiment)
+    _register_stub(monkeypatch, "eight_core", eight_core)
     stdout, stderr = io.StringIO(), io.StringIO()
     code = main(
         ["profile", "eight_core", "--cycles", "200", "--warmup", "50"],

@@ -108,6 +108,19 @@ class TestWarmStoreDeterminism:
             ).read_bytes()
 
 
+class TestRunMatchesReport:
+    def test_run_output_is_byte_identical_to_report_json(self, cold_run, tmp_path):
+        _, store, cold_out, _ = cold_run
+        output = tmp_path / "table2.json"
+        code, _, stderr = invoke(
+            ["run", "table2", "--store", str(store), "--output", str(output)]
+            + GOLDEN_ARGS
+        )
+        assert code == 0, stderr
+        assert "— 0 simulated" in stderr
+        assert output.read_bytes() == (cold_out / "table2.json").read_bytes()
+
+
 class TestGoldenCrosscheck:
     def test_tampered_store_fails_the_crosscheck(self, cold_run, tmp_path):
         tmp, store, _, _ = cold_run
